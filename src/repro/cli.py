@@ -94,8 +94,9 @@ def _add_serve(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--node-id", metavar="ID",
                    help="fleet identity surfaced in /healthz and /status "
                    "(node servers behind a router)")
-    p.add_argument("--backend", default="auto",
-                   choices=["auto", "serial", "thread", "process", "pool"])
+    p.add_argument("--backend", default="serial", choices=["serial", "pool"],
+                   help="pool = persistent shared-memory worker processes "
+                   "(the multi-core path); serial = in-process cascade")
     p.add_argument("--workers", type=int, metavar="N",
                    help="worker processes for --backend pool "
                    "(default: min(shards, cpu count), at least 2)")
@@ -223,8 +224,6 @@ def _add_replay(sub: argparse._SubParsersAction) -> None:
     p.add_argument("--shards", type=int, default=1)
     p.add_argument("--partitioner", default="round-robin",
                    choices=["round-robin", "centroid", "hash"])
-    p.add_argument("--backend", default="serial",
-                   choices=["auto", "serial", "thread", "process"])
     p.add_argument("--format", choices=["text", "json"], default="text")
 
 
@@ -866,7 +865,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         objects,
         shards=args.shards,
         partitioner=args.partitioner,
-        backend=args.backend,
     )
     if args.format == "json":
         print(_json.dumps(report.to_dict(), indent=2))

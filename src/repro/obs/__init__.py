@@ -18,7 +18,7 @@ inside a single query instead of only as end-of-run aggregates:
   :class:`~repro.obs.request.RequestContext` (request id, trace id,
   parent/child span ids, sampling decision) the serving layer propagates
   from the HTTP handler through scatter-gather into every shard, across
-  thread and fork boundaries;
+  process boundaries;
 * :mod:`repro.obs.log` — structured JSON logging with automatic
   request-id correlation on every event;
 * :mod:`repro.obs.profile` — a zero-dependency continuous sampling

@@ -90,7 +90,7 @@ class SpanRecord:
     def from_dict(cls, data: dict[str, Any]) -> "SpanRecord":
         """Rebuild a record from :meth:`to_dict` output.
 
-        Used by the fork-process serve backend: shard workers return their
+        Used by the pool serve backend: shard workers return their
         span buffers as plain dicts, and the parent reassembles them into
         the request's merged trace.
         """

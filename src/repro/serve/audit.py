@@ -288,7 +288,6 @@ def replay_audit(
     *,
     shards: int = 1,
     partitioner: str = "round-robin",
-    backend: str = "serial",
     global_fanout: int = 16,
     kernels: bool = True,
 ) -> ReplayReport:
@@ -300,7 +299,8 @@ def replay_audit(
     the rebuilt dataset reaches their recorded epoch (anything else counts
     as an ``epoch_error`` — the log is incomplete or out of order).
     Degraded and budgeted queries are skipped: their answers depend on
-    wall-clock budgets, not just the dataset.
+    wall-clock budgets, not just the dataset.  Replay always runs the
+    serial backend: digests are layout-independent by design.
     """
     from repro.serve.updates import DatasetManager
 
@@ -308,7 +308,6 @@ def replay_audit(
         list(objects),
         shards=shards,
         partitioner=partitioner,
-        backend=backend,
         global_fanout=global_fanout,
         compact_threshold=1.0,
     )

@@ -25,13 +25,11 @@ the round's workdir is left in place for inspection).
 from __future__ import annotations
 
 import argparse
+import functools
 import http.client
 import json
-import os
 import random
-import re
 import shutil
-import signal
 import subprocess
 import sys
 import tempfile
@@ -44,8 +42,8 @@ import numpy as np
 from repro.objects.io import save_objects
 from repro.objects.uncertain import UncertainObject
 from repro.serve.durable import durable_epoch
+from repro.serve.harness import ReproProcess, request
 
-_PORT_RE = re.compile(r"http://[\d.]+:(\d+)")
 OPERATORS = ("SSD", "SSSD", "PSD", "FSD")
 
 
@@ -53,67 +51,12 @@ class RoundFailure(AssertionError):
     """One crash round violated the durability contract."""
 
 
-def _request(port: int, method: str, path: str, payload=None, timeout=10.0):
-    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
-    try:
-        body = json.dumps(payload) if payload is not None else None
-        conn.request(method, path, body=body,
-                     headers={"Content-Type": "application/json"})
-        resp = conn.getresponse()
-        data = resp.read()
-        if resp.getheader("Content-Type", "").startswith("application/json"):
-            return resp.status, json.loads(data)
-        return resp.status, data.decode()
-    finally:
-        conn.close()
+_request = functools.partial(request, timeout=10.0)
 
 
-class _Server:
-    """A ``repro serve`` subprocess with stdout-scraped port discovery."""
-
-    def __init__(self, args: list[str], env: dict | None = None) -> None:
-        full_env = dict(os.environ)
-        if env:
-            full_env.update(env)
-        self.proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "serve", *args],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            text=True,
-            env=full_env,
-        )
-        self.lines: list[str] = []
-        self._reader = threading.Thread(target=self._drain, daemon=True)
-        self._reader.start()
-
-    def _drain(self) -> None:
-        assert self.proc.stdout is not None
-        for line in self.proc.stdout:
-            self.lines.append(line.rstrip("\n"))
-
-    def wait_port(self, timeout: float = 60.0) -> int:
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            for line in list(self.lines):
-                m = _PORT_RE.search(line)
-                if m:
-                    return int(m.group(1))
-            if self.proc.poll() is not None:
-                raise RoundFailure(
-                    f"server exited rc={self.proc.returncode} before "
-                    f"binding; stdout: {self.lines!r}"
-                )
-            time.sleep(0.02)
-        raise RoundFailure("server did not report its port in time")
-
-    def kill(self) -> None:
-        if self.proc.poll() is None:
-            self.proc.kill()
-        self.proc.wait(timeout=30.0)
-
-    def terminate(self, timeout: float = 60.0) -> int:
-        self.proc.send_signal(signal.SIGTERM)
-        return self.proc.wait(timeout=timeout)
+def _serve(args: list[str], env: dict | None = None) -> ReproProcess:
+    """A ``repro serve`` subprocess; startup failures raise RoundFailure."""
+    return ReproProcess(["serve", *args], env=env, failure=RoundFailure)
 
 
 def _burst(
@@ -182,7 +125,7 @@ def run_round(
         kill_at = rng.randint(2, 8)
         env["REPRO_WAL_KILL_AT_APPEND"] = str(kill_at)
 
-    server = _Server(serve_args, env=env)
+    server = _serve(serve_args, env=env)
     inserted: list = []
     lock = threading.Lock()
     stop = threading.Event()
@@ -215,7 +158,7 @@ def run_round(
         )
 
     # ---- warm restart: the recovered epoch must be exact -------------- #
-    server = _Server(serve_args)  # no kill env this time
+    server = _serve(serve_args)  # no kill env this time
     try:
         port = server.wait_port()
         deadline = time.monotonic() + 30.0

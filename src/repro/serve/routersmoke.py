@@ -23,13 +23,11 @@ Exit code 0 = the contract held; 1 = details on stderr, artifacts kept.
 from __future__ import annotations
 
 import argparse
+import functools
 import http.client
 import json
-import os
 import random
-import re
 import shutil
-import signal
 import subprocess
 import sys
 import tempfile
@@ -41,8 +39,8 @@ import numpy as np
 
 from repro.objects.io import save_objects
 from repro.objects.uncertain import UncertainObject
+from repro.serve.harness import ReproProcess, request
 
-_PORT_RE = re.compile(r"http://[\d.]+:(\d+)")
 OPERATORS = ("SSD", "SSSD", "PSD", "FSD", "F+SD")
 
 
@@ -50,66 +48,8 @@ class SmokeFailure(AssertionError):
     """The router smoke violated its availability/exactness contract."""
 
 
-def _request(port: int, method: str, path: str, payload=None, timeout=15.0):
-    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
-    try:
-        body = json.dumps(payload) if payload is not None else None
-        conn.request(method, path, body=body,
-                     headers={"Content-Type": "application/json"})
-        resp = conn.getresponse()
-        data = resp.read()
-        if resp.getheader("Content-Type", "").startswith("application/json"):
-            return resp.status, json.loads(data)
-        return resp.status, data.decode()
-    finally:
-        conn.close()
-
-
-class _Proc:
-    """A ``repro`` subprocess with stdout-scraped port discovery."""
-
-    def __init__(self, args: list[str]) -> None:
-        self.proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", *args],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-            text=True,
-            env=dict(os.environ),
-        )
-        self.lines: list[str] = []
-        self._reader = threading.Thread(target=self._drain, daemon=True)
-        self._reader.start()
-
-    def _drain(self) -> None:
-        assert self.proc.stdout is not None
-        for line in self.proc.stdout:
-            self.lines.append(line.rstrip("\n"))
-
-    def wait_port(self, timeout: float = 60.0) -> int:
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            for line in list(self.lines):
-                m = _PORT_RE.search(line)
-                if m:
-                    return int(m.group(1))
-            if self.proc.poll() is not None:
-                raise SmokeFailure(
-                    f"process exited rc={self.proc.returncode} before "
-                    f"binding; stdout: {self.lines!r}"
-                )
-            time.sleep(0.02)
-        raise SmokeFailure("process did not report its port in time")
-
-    def kill(self) -> None:
-        if self.proc.poll() is None:
-            self.proc.kill()
-        self.proc.wait(timeout=30.0)
-
-    def terminate(self, timeout: float = 60.0) -> int:
-        if self.proc.poll() is not None:
-            return self.proc.returncode
-        self.proc.send_signal(signal.SIGTERM)
-        return self.proc.wait(timeout=timeout)
+_request = functools.partial(request, timeout=15.0)
+_Proc = functools.partial(ReproProcess, failure=SmokeFailure)
 
 
 class _Traffic:
@@ -207,8 +147,8 @@ def run_smoke(workdir: Path, *, seed: int, shards: int, n_objects: int,
     save_objects(dataset, objects)
 
     node_ids = ("n1", "n2", "n3")
-    nodes: dict[str, _Proc] = {}
-    router: _Proc | None = None
+    nodes: dict[str, ReproProcess] = {}
+    router: ReproProcess | None = None
     rng = random.Random(seed)
     try:
         for nid in node_ids:

@@ -312,7 +312,7 @@ class ServeApp:
         """Merge a sampled request's span buffers into one Chrome trace.
 
         Root (handler + serial-cascade) spans come from the request's own
-        tracer; thread/fork shard buffers were attached by the scatter via
+        tracer; pool-worker shard buffers were attached by the scatter via
         :meth:`RequestContext.add_shard_spans`.  Written to ``trace_dir``
         (when set) and kept on :attr:`last_trace`.
         """
@@ -375,7 +375,7 @@ class ServeApp:
                 return 200, body
         if request is not None and request.tracer is not None:
             # The request's root span (tid 0 on the merged timeline);
-            # serial-backend shard spans nest under it, parallel backends
+            # serial-backend shard spans nest under it, pool workers
             # attach their buffers to the context instead.
             with request.tracer.span(
                 "query",

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import http.client
-import json
 import sys
 import threading
 
@@ -36,25 +34,11 @@ from repro.core.nnc import NNCSearch
 from repro.datasets import synthetic
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.cache import ResultCache
+from repro.serve.harness import request as _request
 from repro.serve.server import NNCServer, ServeApp
 from repro.serve.updates import DatasetManager
 
 OPERATORS = ("SSD", "SSSD", "PSD", "FSD")
-
-
-def _request(port: int, method: str, path: str, payload=None, timeout=30.0):
-    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
-    try:
-        body = json.dumps(payload) if payload is not None else None
-        conn.request(method, path, body=body,
-                     headers={"Content-Type": "application/json"})
-        resp = conn.getresponse()
-        data = resp.read()
-        if resp.getheader("Content-Type", "").startswith("application/json"):
-            return resp.status, json.loads(data)
-        return resp.status, data.decode()
-    finally:
-        conn.close()
 
 
 class _ServerThread:
@@ -91,7 +75,7 @@ def main(argv: list[str] | None = None) -> int:
     from repro.serve.shard import BACKENDS
 
     parser = argparse.ArgumentParser(prog="python -m repro.serve.smoke")
-    parser.add_argument("--backend", default="auto", choices=BACKENDS)
+    parser.add_argument("--backend", default="serial", choices=BACKENDS)
     parser.add_argument("--workers", type=int, default=None,
                         help="worker processes for --backend pool")
     parser.add_argument("--shards", type=int, default=2)

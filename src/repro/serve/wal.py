@@ -94,7 +94,10 @@ class FsyncPolicy:
             raise ValueError("fsync interval must be non-negative")
         self.mode = mode
         self.interval_s = interval_s
-        self._last_sync = 0.0
+        #: Monotonic time of the last sync; None until the first one, so
+        #: the first interval-mode append always syncs whatever the
+        #: clock's origin (``time.monotonic`` may count from boot).
+        self._last_sync: float | None = None
 
     def due(self) -> bool:
         """True when this append should fsync (marks the sync time)."""
@@ -103,7 +106,7 @@ class FsyncPolicy:
         if self.mode == "never":
             return False
         now = time.monotonic()
-        if now - self._last_sync >= self.interval_s:
+        if self._last_sync is None or now - self._last_sync >= self.interval_s:
             self._last_sync = now
             return True
         return False

@@ -132,7 +132,7 @@ class TestServeClientParsers:
         args = build_parser().parse_args(["serve"])
         assert args.shards == 1
         assert args.partitioner == "round-robin"
-        assert args.backend == "auto"
+        assert args.backend == "serial"
         assert args.port == 8080
         assert args.cache_size == 256
         assert args.max_inflight == 8
@@ -143,6 +143,13 @@ class TestServeClientParsers:
             build_parser().parse_args(["serve", "--partitioner", "mod-hash"])
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--backend", "gpu"])
+
+    @pytest.mark.parametrize("backend", ["thread", "process", "auto"])
+    def test_serve_retired_backends_are_usage_errors(self, backend, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["serve", "--backend", backend])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_client_defaults_and_actions(self):
         args = build_parser().parse_args(["client", "health"])

@@ -109,12 +109,14 @@ class TestWal:
         assert len(records) == 1
         assert torn is not None and "CRC" in torn.detail
 
-    def test_fsync_policy_modes(self):
+    def test_fsync_policy_modes(self, monkeypatch):
         assert FsyncPolicy("always").due()
         assert not FsyncPolicy("never").due()
+        # A host up for 5 s: the monotonic clock reads below the interval,
+        # and the first interval-mode append must still sync.
+        monkeypatch.setattr("repro.serve.wal.time.monotonic", lambda: 5.0)
         interval = FsyncPolicy("interval", interval_s=3600.0)
-        interval._last_sync = 0.0
-        assert interval.due()  # first call past the interval
+        assert interval.due()  # never synced yet
         assert not interval.due()  # just synced
         with pytest.raises(ValueError):
             FsyncPolicy("sometimes")

@@ -8,6 +8,8 @@ DESIGN.md §13 gives the containment-chain argument; these tests pin it.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -35,6 +37,10 @@ from repro.serve.shard import (
 from .conftest import uncertain_objects
 
 OPERATORS = ("SSD", "SSSD", "PSD", "FSD")
+
+#: Pool start method: fork boots workers in milliseconds; spawn-safety is
+#: pinned in test_serve_pool.
+_START = "fork" if "fork" in multiprocessing.get_all_start_methods() else None
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +106,13 @@ class TestPartitioners:
         with pytest.raises(ValueError):
             ShardedSearch(objects, backend="gpu")
 
+    @pytest.mark.parametrize("backend", ["thread", "process", "auto"])
+    def test_retired_backends_rejected(self, workload, backend):
+        objects, _ = workload
+        assert BACKENDS == ("serial", "pool")
+        with pytest.raises(ValueError, match="unknown backend"):
+            ShardedSearch(objects, shards=2, backend=backend)
+
 
 class TestExactness:
     """The acceptance-criterion pin: sharded == single-shard, bit for bit."""
@@ -164,25 +177,27 @@ class TestExactness:
             assert brute[obj.oid] < k
             assert count <= brute[obj.oid]
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial", "pool"])
     def test_backends_agree(self, workload, monolith, backend):
         objects, query = workload
         expected = sorted(monolith.run(query, "PSD", k=2).oids())
-        sharded = ShardedSearch(objects, shards=4, backend=backend)
-        result = sharded.run(query, "PSD", k=2)
-        sharded.close()
+        sharded = ShardedSearch(
+            objects, shards=4, backend=backend, workers=2,
+            start_method=_START,
+        )
+        try:
+            result = sharded.run(query, "PSD", k=2)
+        finally:
+            sharded.close()
         assert result.backend == backend
         assert sorted(result.oids()) == expected
 
-    def test_process_backend_agrees(self, workload, monolith):
-        pytest.importorskip("multiprocessing")
-        import multiprocessing
-
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("no fork on this platform")
+    def test_pool_candidates_are_parent_objects(self, workload, monolith):
         objects, query = workload
         expected = sorted(monolith.run(query, "FSD").oids())
-        sharded = ShardedSearch(objects, shards=2, backend="process")
+        sharded = ShardedSearch(
+            objects, shards=2, backend="pool", workers=2, start_method=_START
+        )
         try:
             result = sharded.run(query, "FSD")
             # Candidates come back as parent-process objects, not copies.
