@@ -23,7 +23,8 @@ Run directly::
 
     PYTHONPATH=src python benchmarks/bench_kernels.py            # full (tiny scale)
     PYTHONPATH=src python benchmarks/bench_kernels.py --smoke    # CI-sized
-    PYTHONPATH=src python benchmarks/bench_kernels.py --scale small --out BENCH_kernels.json
+    # the committed record: paper instance counts, n=2000 (minutes)
+    PYTHONPATH=src python benchmarks/bench_kernels.py --scale large --out BENCH_kernels.json
 """
 
 from __future__ import annotations

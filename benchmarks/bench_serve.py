@@ -31,7 +31,8 @@ Writes ``BENCH_serve.json`` with six sections:
 * **observability** — full :class:`repro.serve.server.ServeApp` dispatch
   with SLO metrics on, comparing sampling off vs 1% vs the full plane
   (1% sampling + 100 Hz continuous profiler + ~2 Hz fleet scrapes):
-  relative overhead of each (hard budget: <3% apiece, exit 1 on breach),
+  relative overhead of each (hard budget: <3% apiece, exit 1 on breach,
+  checked after ``--out`` and the trajectory record are written),
   p50/p95/p99 latency read back from the served histograms, and the
   degraded-answer rate (expected 0.0 on an unbudgeted workload —
   ``compare_bench.py`` gates on it).
@@ -733,24 +734,6 @@ def main(argv: list[str] | None = None) -> int:
         f"{obs['fleet_scrapes']:.0f} scrapes "
         f"({obs['fleet_scrape_errors']:.0f} errors)"
     )
-    if obs["overhead"] > OVERHEAD_BUDGET:
-        print(
-            f"FAIL: observability overhead {obs['overhead']:+.1%} exceeds "
-            f"the {OVERHEAD_BUDGET:.0%} budget at "
-            f"{obs['sample_rate']:.0%} sampling"
-        )
-        return 1
-    if obs["profiled_overhead"] > OVERHEAD_BUDGET:
-        print(
-            f"FAIL: profiler+federation overhead "
-            f"{obs['profiled_overhead']:+.1%} exceeds the "
-            f"{OVERHEAD_BUDGET:.0%} budget at {obs['profile_hz']:.0f} Hz"
-        )
-        return 1
-    if obs["fleet_scrape_errors"]:
-        print("FAIL: fleet scrapes errored during the profiled pass")
-        return 1
-
     payload = {
         "bench": "serve",
         "scale": "smoke" if args.smoke else "default",
@@ -786,7 +769,26 @@ def main(argv: list[str] | None = None) -> int:
     if not args.no_trajectory:
         action = trajectory.append(args.trajectory, trajectory.record_for(payload))
         print(f"trajectory: {action} record in {args.trajectory}")
-    return 0
+    # The timing gates run after the record is written: a tripped gate
+    # still fails the run, but its measurements are kept for inspection.
+    failures = []
+    if obs["overhead"] > OVERHEAD_BUDGET:
+        failures.append(
+            f"FAIL: observability overhead {obs['overhead']:+.1%} exceeds "
+            f"the {OVERHEAD_BUDGET:.0%} budget at "
+            f"{obs['sample_rate']:.0%} sampling"
+        )
+    if obs["profiled_overhead"] > OVERHEAD_BUDGET:
+        failures.append(
+            f"FAIL: profiler+federation overhead "
+            f"{obs['profiled_overhead']:+.1%} exceeds the "
+            f"{OVERHEAD_BUDGET:.0%} budget at {obs['profile_hz']:.0f} Hz"
+        )
+    if obs["fleet_scrape_errors"]:
+        failures.append("FAIL: fleet scrapes errored during the profiled pass")
+    for line in failures:
+        print(line)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

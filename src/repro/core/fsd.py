@@ -92,9 +92,16 @@ def fsd_dominates(
             ok = _extremes_ok(u, v, ctx, use_local_trees)
     else:
         ok = _extremes_ok(u, v, ctx, use_local_trees)
-    if not ok:
-        return False
     # All pair distances are <=; exclude the degenerate identical case.
+    return ok and fsd_distinct(u, v, ctx)
+
+
+def fsd_distinct(u: UncertainObject, v: UncertainObject, ctx: QueryContext) -> bool:
+    """``U_Q != V_Q``: the identical-object exclusion of F-SD.
+
+    Only meaningful once the per-vertex extremes pass; shared by
+    :func:`fsd_dominates` and the search driver's batched F-SD check.
+    """
     return not stochastic_equal(
         ctx.distance_distribution(u),
         ctx.distance_distribution(v),

@@ -23,7 +23,10 @@ P-SD, F-SD) and the NNC search share them:
   (:func:`halfspace_adjacency`) for P-SD network construction;
 * **statistic pruning** — the Theorem 11 (min, mean, max) screen of a new
   object against every accepted candidate at once
-  (:func:`statistic_prune`).
+  (:func:`statistic_prune`);
+* **F-SD extremes** — the per-hull-vertex ``delta_max <= delta_min`` test
+  of every accepted candidate against a new object at once
+  (:func:`extremes_dominate`).
 
 Every kernel has a scalar twin — either here (``*_scalar``) or the original
 loop implementation kept behind ``QueryContext(kernels=False)`` — and the
@@ -66,6 +69,7 @@ __all__ = [
     "children_mindist_box",
     "distance_matrix",
     "distance_matrix_scalar",
+    "extremes_dominate",
     "halfspace_adjacency",
     "mbr_corner_terms",
     "mbr_dominance_mask",
@@ -384,6 +388,25 @@ def statistic_prune(
     v = np.asarray(v_stats, dtype=float)
     record(counters, u.size, kernel="statistic_prune")
     return np.all(u <= v[None, :] + tol, axis=1)
+
+
+def extremes_dominate(
+    u_max: np.ndarray, v_min: np.ndarray, *, tol: float = 1e-9, counters=None
+) -> np.ndarray:
+    """F-SD per-vertex test of many dominators against one object.
+
+    Args:
+        u_max: ``(n, h)`` stack of candidate dominators' per-hull-vertex
+            farthest distances (:meth:`QueryContext.hull_extremes` ``[0]``).
+        v_min: ``(h,)`` nearest distances of the object under test.
+
+    Returns:
+        Boolean mask of the rows with ``delta_max(q, U) <= delta_min(q, V)``
+        at every hull vertex ``q`` (within ``tol``) — the scalar
+        ``repro.core.fsd._extremes_ok`` comparison, row by row.
+    """
+    record(counters, u_max.size, kernel="extremes_dominate")
+    return ~np.any(u_max > v_min + tol, axis=1)
 
 
 def points_in_box(lo: np.ndarray, hi: np.ndarray, points: np.ndarray, *, counters=None) -> np.ndarray:

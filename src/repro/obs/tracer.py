@@ -19,7 +19,8 @@ Span tree for one traced query::
     └── dominance-check         (per surviving object: oid, dominators)
         ├── cdf-scan            (S-SD exact sweep)
         ├── cdf-sweep           (SS-SD per-q sweep)
-        ├── hull-extremes       (F-SD per-vertex comparison)
+        ├── hull-extremes       (F-SD per-vertex comparison: one batch over
+        │                        the accepted set per object; op, pairs)
         ├── level-flow          (P-SD coarse G-/G+ networks)
         └── maxflow             (P-SD instance network)
 """
