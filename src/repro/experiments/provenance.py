@@ -46,8 +46,8 @@ def _git(args: list[str], cwd: Path) -> str | None:
         )
     except (OSError, subprocess.SubprocessError):
         return None
-    value = out.stdout.strip()
-    return value if out.returncode == 0 and value else None
+    # Empty output is an answer ("git status" of a clean tree), not a failure.
+    return out.stdout.strip() if out.returncode == 0 else None
 
 
 def git_describe(root: Path | None = None) -> dict:

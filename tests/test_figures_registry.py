@@ -107,6 +107,23 @@ class TestProvenance:
         assert rec["sha"] == "unknown"
         assert rec["branch"] == "unknown"
 
+    def test_clean_tree_is_not_dirty(self, tmp_path):
+        import subprocess
+
+        def git(*args):
+            subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                cwd=tmp_path, check=True, capture_output=True,
+            )
+
+        git("init", "-q")
+        (tmp_path / "f.txt").write_text("x\n")
+        git("add", "f.txt")
+        git("commit", "-qm", "init")
+        assert provenance.git_describe(tmp_path)["dirty"] is False
+        (tmp_path / "f.txt").write_text("y\n")
+        assert provenance.git_describe(tmp_path)["dirty"] is True
+
 
 class TestTrajectory:
     RECORD = {
